@@ -1,10 +1,13 @@
 //! System configuration: the paper's target system (§4.2, §5.2) with every
 //! modeling knob exposed.
 
+use std::fmt;
+
 use bash_adaptive::AdaptorConfig;
 use bash_coherence::{CacheGeometry, HierarchyConfig, ProtocolKind};
 use bash_kernel::{Duration, QueueKind};
-use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
+use bash_net::ids::MAX_NODES;
+use bash_net::{FaultPlaneConfig, FaultPlaneError, Jitter, TopologyKind};
 
 /// Deliberate fault injection — the verification harness's self-test
 /// hook. A protocol tester is only trustworthy if it demonstrably catches
@@ -318,54 +321,213 @@ impl SystemConfig {
         self
     }
 
-    /// Validates the configuration.
+    /// Checks every configuration rule: the one place a configuration is
+    /// validated. [`System::new`](crate::System::new) runs it and panics
+    /// on an error; the facade's builder maps the error into its own
+    /// error type so a bad sweep point is rejected before it runs.
     ///
-    /// # Panics
+    /// The cost is independent of the node count.
     ///
-    /// Panics on nonsensical values (zero nodes/bandwidth, multiplier < 1).
-    pub fn validate(&self) {
-        assert!(self.nodes > 0, "need at least one node");
-        assert!(self.link_mbps > 0, "bandwidth must be positive");
-        assert!(self.broadcast_cost_multiplier >= 1);
-        assert!(
-            self.retry_capacity > 0,
-            "BASH needs at least one retry buffer"
-        );
-        assert!(self.cache_geometry.sets > 0 && self.cache_geometry.ways > 0);
+    /// # Errors
+    ///
+    /// The first rule the configuration breaks, as a [`ConfigError`].
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.nodes == 0 || usize::from(self.nodes) > MAX_NODES {
+            return Err(ConfigError::NodeCount(self.nodes));
+        }
+        if self.link_mbps == 0 {
+            return Err(ConfigError::ZeroBandwidth);
+        }
+        if self.broadcast_cost_multiplier == 0 {
+            return Err(ConfigError::ZeroBroadcastCost);
+        }
+        if self.retry_capacity == 0 {
+            return Err(ConfigError::ZeroRetryCapacity);
+        }
+        let CacheGeometry { sets, ways } = self.cache_geometry;
+        if sets == 0 || ways == 0 {
+            return Err(ConfigError::BadCacheGeometry { sets, ways });
+        }
         if let Some(h) = &self.hierarchy {
-            if let Err(reason) = h.check(self.nodes) {
-                panic!("invalid hierarchy: {reason}");
+            check_hierarchy(h, self.nodes)?;
+        }
+        let adaptor = &self.adaptor;
+        if !(1..100).contains(&adaptor.threshold_percent) {
+            return Err(ConfigError::ThresholdOutOfRange(adaptor.threshold_percent));
+        }
+        if !(1..=16).contains(&adaptor.policy_bits) {
+            return Err(ConfigError::PolicyBitsOutOfRange(adaptor.policy_bits));
+        }
+        if adaptor.sampling_interval_cycles == 0 {
+            return Err(ConfigError::ZeroSamplingInterval);
+        }
+        match self.fault {
+            Some(
+                FaultInjection::CorruptLoads { period: 0 }
+                | FaultInjection::DropInvalidations { period: 0 }
+                | FaultInjection::DuplicateDeliveries { period: 0 }
+                | FaultInjection::StaleSharerMask { period: 0 },
+            ) => return Err(ConfigError::ZeroFaultPeriod),
+            Some(FaultInjection::ReorderOrdered { window }) if window < 2 => {
+                return Err(ConfigError::ReorderWindowTooSmall(window));
             }
-        }
-        if let Some(
-            FaultInjection::CorruptLoads { period }
-            | FaultInjection::DropInvalidations { period }
-            | FaultInjection::DuplicateDeliveries { period }
-            | FaultInjection::StaleSharerMask { period },
-        ) = self.fault
-        {
-            assert!(period > 0, "fault period must be at least 1");
-        }
-        if let Some(FaultInjection::ReorderOrdered { window }) = self.fault {
-            assert!(window >= 2, "reorder window must be at least 2");
+            _ => {}
         }
         if let Some(plane) = &self.fault_plane {
-            assert!(
-                self.topology != TopologyKind::Crossbar,
-                "the fault plane requires a fabric topology (the crossbar has no links)"
-            );
-            plane.validate();
+            if self.topology == TopologyKind::Crossbar {
+                return Err(ConfigError::FaultPlaneNeedsFabric);
+            }
+            plane.check().map_err(ConfigError::FaultPlane)?;
         }
-        assert!(
-            self.capture_ops || !self.capture_completions,
-            "completion capture requires op capture"
-        );
+        if self.capture_completions && !self.capture_ops {
+            return Err(ConfigError::CompletionsWithoutCapture);
+        }
+        Ok(())
     }
 }
+
+/// The hierarchy-shape rules of [`SystemConfig::check`].
+fn check_hierarchy(h: &HierarchyConfig, nodes: u16) -> Result<(), ConfigError> {
+    if h.cluster_size == 0 {
+        return Err(ConfigError::ZeroClusterSize);
+    }
+    if h.banks == 0 {
+        return Err(ConfigError::ZeroHierarchyBanks);
+    }
+    if !nodes.is_multiple_of(h.cluster_size) {
+        return Err(ConfigError::ClusterSizeMismatch {
+            cluster_size: h.cluster_size,
+            nodes,
+        });
+    }
+    if !nodes.is_multiple_of(h.banks) {
+        return Err(ConfigError::BankCountMismatch {
+            banks: h.banks,
+            nodes,
+        });
+    }
+    Ok(())
+}
+
+/// Why [`SystemConfig::check`] rejected a configuration. One variant per
+/// rule; each rule is written once, in `check`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The node count lies outside `1..=MAX_NODES` (4096).
+    NodeCount(u16),
+    /// Endpoint links need positive bandwidth.
+    ZeroBandwidth,
+    /// The broadcast cost multiplier must be at least 1.
+    ZeroBroadcastCost,
+    /// The BASH retry buffer needs at least one entry.
+    ZeroRetryCapacity,
+    /// The cache needs at least one set and one way.
+    BadCacheGeometry {
+        /// Configured sets.
+        sets: usize,
+        /// Configured ways.
+        ways: usize,
+    },
+    /// The hierarchy's cluster size is zero.
+    ZeroClusterSize,
+    /// The hierarchy has zero directory-spine banks.
+    ZeroHierarchyBanks,
+    /// The hierarchy's cluster size does not divide the node count.
+    ClusterSizeMismatch {
+        /// Configured nodes per cluster.
+        cluster_size: u16,
+        /// Configured node count.
+        nodes: u16,
+    },
+    /// The hierarchy's bank count does not divide the node count.
+    BankCountMismatch {
+        /// Configured directory-spine banks.
+        banks: u16,
+        /// Configured node count.
+        nodes: u16,
+    },
+    /// The adaptor's utilization threshold lies outside `1..=99` percent.
+    ThresholdOutOfRange(u32),
+    /// The adaptor's policy counter width lies outside `1..=16` bits.
+    PolicyBitsOutOfRange(u32),
+    /// The adaptor's sampling interval is zero cycles (the sampler would
+    /// reschedule itself at the same instant forever).
+    ZeroSamplingInterval,
+    /// A periodic fault injection has period 0.
+    ZeroFaultPeriod,
+    /// [`FaultInjection::ReorderOrdered`] needs a window of at least 2.
+    ReorderWindowTooSmall(u64),
+    /// A fault plane was configured on the crossbar, which has no links
+    /// to inject faults on.
+    FaultPlaneNeedsFabric,
+    /// The fault plane itself is invalid.
+    FaultPlane(FaultPlaneError),
+    /// Completion capture was enabled without op capture.
+    CompletionsWithoutCapture,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NodeCount(nodes) => {
+                write!(f, "node count {nodes} is outside 1..={MAX_NODES}")
+            }
+            ConfigError::ZeroBandwidth => f.write_str("bandwidth must be positive"),
+            ConfigError::ZeroBroadcastCost => f.write_str("broadcast cost multiplier must be >= 1"),
+            ConfigError::ZeroRetryCapacity => f.write_str("BASH needs at least one retry buffer"),
+            ConfigError::BadCacheGeometry { sets, ways } => write!(
+                f,
+                "cache needs at least one set and one way (got {sets} sets x {ways} ways)"
+            ),
+            ConfigError::ZeroClusterSize => {
+                f.write_str("hierarchy cluster size must be at least 1")
+            }
+            ConfigError::ZeroHierarchyBanks => {
+                f.write_str("hierarchy bank count must be at least 1")
+            }
+            ConfigError::ClusterSizeMismatch {
+                cluster_size,
+                nodes,
+            } => write!(
+                f,
+                "hierarchy cluster size {cluster_size} does not divide the node count {nodes}"
+            ),
+            ConfigError::BankCountMismatch { banks, nodes } => write!(
+                f,
+                "hierarchy bank count {banks} does not divide the node count {nodes}"
+            ),
+            ConfigError::ThresholdOutOfRange(percent) => {
+                write!(f, "adaptor threshold {percent}% is outside 1..=99")
+            }
+            ConfigError::PolicyBitsOutOfRange(bits) => write!(
+                f,
+                "adaptor policy counter width {bits} is outside 1..=16 bits"
+            ),
+            ConfigError::ZeroSamplingInterval => {
+                f.write_str("adaptor sampling interval must be at least 1 cycle")
+            }
+            ConfigError::ZeroFaultPeriod => f.write_str("fault period must be at least 1"),
+            ConfigError::ReorderWindowTooSmall(window) => {
+                write!(f, "reorder window {window} must be at least 2")
+            }
+            ConfigError::FaultPlaneNeedsFabric => {
+                f.write_str("the fault plane needs a fabric topology (the crossbar has no links)")
+            }
+            ConfigError::FaultPlane(e) => write!(f, "invalid fault plane: {e}"),
+            ConfigError::CompletionsWithoutCapture => {
+                f.write_str("completion capture requires op capture")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::System;
+    use bash_workloads::LockingMicrobench;
 
     #[test]
     fn paper_latencies() {
@@ -394,15 +556,19 @@ mod tests {
         assert_eq!(c.broadcast_cost_multiplier, 4);
         assert_eq!(c.seed, 7);
         assert!(c.coverage);
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
+    }
+
+    fn run(cfg: SystemConfig) {
+        let nodes = cfg.nodes.max(1);
+        System::new(cfg, LockingMicrobench::new(nodes, 16, Duration::ZERO, 1));
     }
 
     #[test]
-    #[should_panic(expected = "invalid hierarchy")]
+    #[should_panic(expected = "cluster size 3 does not divide the node count 8")]
     fn misfit_hierarchy_rejected() {
-        SystemConfig::paper_default(ProtocolKind::Bash, 8, 800)
-            .with_hierarchy(HierarchyConfig::new(3, 2))
-            .validate();
+        run(SystemConfig::paper_default(ProtocolKind::Bash, 8, 800)
+            .with_hierarchy(HierarchyConfig::new(3, 2)));
     }
 
     #[test]
@@ -410,6 +576,107 @@ mod tests {
     fn zero_bandwidth_rejected() {
         let mut c = SystemConfig::paper_default(ProtocolKind::Snooping, 4, 800);
         c.link_mbps = 0;
-        c.validate();
+        run(c);
+    }
+
+    #[test]
+    fn hierarchy_misfits_are_typed_errors() {
+        let shape = |nodes, cluster_size, banks| {
+            SystemConfig::paper_default(ProtocolKind::Bash, nodes, 800)
+                .with_hierarchy(HierarchyConfig::new(cluster_size, banks))
+                .check()
+        };
+        assert_eq!(shape(8, 0, 1), Err(ConfigError::ZeroClusterSize));
+        assert_eq!(shape(8, 4, 0), Err(ConfigError::ZeroHierarchyBanks));
+        assert_eq!(
+            shape(8, 3, 1),
+            Err(ConfigError::ClusterSizeMismatch {
+                cluster_size: 3,
+                nodes: 8
+            })
+        );
+        assert_eq!(
+            shape(8, 4, 3),
+            Err(ConfigError::BankCountMismatch { banks: 3, nodes: 8 })
+        );
+        assert_eq!(shape(8, 4, 2), Ok(()));
+        assert_eq!(shape(8, 8, 8), Ok(()));
+        assert_eq!(shape(64, 16, 4), Ok(()));
+    }
+
+    #[test]
+    fn every_rule_has_a_typed_error() {
+        let base = || SystemConfig::paper_default(ProtocolKind::Bash, 16, 1600);
+        let with = |f: &dyn Fn(&mut SystemConfig)| {
+            let mut c = base();
+            f(&mut c);
+            c.check()
+        };
+        assert_eq!(base().check(), Ok(()));
+        assert_eq!(with(&|c| c.nodes = 0), Err(ConfigError::NodeCount(0)));
+        assert_eq!(with(&|c| c.nodes = 4096), Ok(()));
+        assert_eq!(with(&|c| c.nodes = 4097), Err(ConfigError::NodeCount(4097)));
+        assert_eq!(
+            with(&|c| c.broadcast_cost_multiplier = 0),
+            Err(ConfigError::ZeroBroadcastCost)
+        );
+        assert_eq!(
+            with(&|c| c.retry_capacity = 0),
+            Err(ConfigError::ZeroRetryCapacity)
+        );
+        assert_eq!(
+            with(&|c| c.cache_geometry.ways = 0),
+            Err(ConfigError::BadCacheGeometry {
+                sets: 1024,
+                ways: 0
+            })
+        );
+        for percent in [0, 100] {
+            assert_eq!(
+                with(&|c| c.adaptor.threshold_percent = percent),
+                Err(ConfigError::ThresholdOutOfRange(percent))
+            );
+        }
+        for bits in [0, 17] {
+            assert_eq!(
+                with(&|c| c.adaptor.policy_bits = bits),
+                Err(ConfigError::PolicyBitsOutOfRange(bits))
+            );
+        }
+        assert_eq!(
+            with(&|c| c.adaptor.sampling_interval_cycles = 0),
+            Err(ConfigError::ZeroSamplingInterval)
+        );
+        assert_eq!(
+            with(&|c| c.fault = Some(FaultInjection::DropInvalidations { period: 0 })),
+            Err(ConfigError::ZeroFaultPeriod)
+        );
+        assert_eq!(
+            with(&|c| c.fault = Some(FaultInjection::ReorderOrdered { window: 1 })),
+            Err(ConfigError::ReorderWindowTooSmall(1))
+        );
+        assert_eq!(
+            with(&|c| c.fault = Some(FaultInjection::ReorderOrdered { window: 2 })),
+            Ok(())
+        );
+        let plane = FaultPlaneConfig::lossy(1, 1.5);
+        assert_eq!(
+            with(&|c| c.fault_plane = Some(plane.clone())),
+            Err(ConfigError::FaultPlaneNeedsFabric)
+        );
+        assert_eq!(
+            with(&|c| {
+                c.topology = TopologyKind::Ring;
+                c.fault_plane = Some(plane.clone());
+            }),
+            Err(ConfigError::FaultPlane(
+                FaultPlaneError::ProbabilityOutOfRange { link: None }
+            ))
+        );
+        assert_eq!(
+            with(&|c| c.capture_completions = true),
+            Err(ConfigError::CompletionsWithoutCapture)
+        );
+        assert_eq!(base().with_capture_completions().check(), Ok(()));
     }
 }

@@ -37,6 +37,6 @@ pub mod stats;
 pub mod system;
 
 pub use bash_coherence::HierarchyConfig;
-pub use config::{FaultInjection, SystemConfig, WatchdogBudget};
+pub use config::{ConfigError, FaultInjection, SystemConfig, WatchdogBudget};
 pub use stats::{HierarchyStats, LinkStat, RunStats};
 pub use system::{RunError, System, WedgeCause, WedgeDiagnostic};

@@ -286,10 +286,13 @@ impl<W: Workload> System<W> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see
-    /// [`SystemConfig::validate`]).
+    /// Panics with the [`ConfigError`](crate::ConfigError) message if
+    /// [`SystemConfig::check`] rejects `cfg`. Call `check` first to get
+    /// the error as a value instead.
     pub fn new(mut cfg: SystemConfig, mut workload: W) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("invalid SystemConfig: {e}");
+        }
         let nodes = cfg.nodes;
         // Everything derived from the fault plane is computed here, before
         // the configuration moves into the interconnect below.

@@ -51,11 +51,7 @@ pub fn fig10_11(opts: &Options, broadcast_cost: u32) {
         for proto in ProtocolKind::ALL {
             let mut pts = Vec::new();
             let reports = sweep_builder(proto, MACRO_NODES, &MACRO_BANDWIDTHS, &wl, opts)
-                .fabric(
-                    FabricSpec::default()
-                        .bandwidths(MACRO_BANDWIDTHS.iter().copied())
-                        .broadcast_cost(broadcast_cost),
-                )
+                .fabric(FabricSpec::default().broadcast_cost(broadcast_cost))
                 .plan(warmup(opts), measure(opts))
                 .run_sweep();
             for (&bw, p) in MACRO_BANDWIDTHS.iter().zip(reports) {

@@ -45,6 +45,32 @@ mod verify;
 
 use common::Options;
 
+/// Every experiment id the binary accepts (besides the `trace` toolbox,
+/// which takes its own sub-arguments). An id outside this list is an
+/// error, so a typo in a script fails instead of silently running nothing.
+const KNOWN_IDS: &[&str] = &[
+    "all",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "table1",
+    "scenarios",
+    "topology",
+    "hierarchy",
+    "verify",
+    "chaos",
+    "wedge-selftest",
+];
+
 fn main() {
     let mut opts = Options::default();
     let mut ids: Vec<String> = Vec::new();
@@ -70,8 +96,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!("usage: bash-experiments [--out DIR] [--scale F] [--seeds N] <ids...>");
-                println!("  ids: all fig1..fig12 table1 scenarios topology hierarchy verify");
-                println!("       chaos wedge-selftest");
+                println!("  ids: {}", KNOWN_IDS.join(" "));
                 println!("       trace <info FILE | migrate IN OUT | replay FILE | diff FILE>");
                 return;
             }
@@ -84,6 +109,16 @@ fn main() {
             std::process::exit(1);
         }
         return;
+    }
+    let unknown: Vec<&str> = ids
+        .iter()
+        .map(String::as_str)
+        .filter(|id| !KNOWN_IDS.contains(id))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id(s): {}", unknown.join(" "));
+        eprintln!("known ids: {} (or: trace ...)", KNOWN_IDS.join(" "));
+        std::process::exit(2);
     }
     if ids.is_empty() {
         ids.push("all".to_string());

@@ -28,7 +28,8 @@ pub fn topology(opts: &Options) {
         for proto in ProtocolKind::ALL {
             let reports = SimBuilder::new(proto)
                 .nodes(16)
-                .fabric(FabricSpec::new(topo).bandwidths(BANDWIDTHS))
+                .fabric(FabricSpec::new(topo))
+                .bandwidths(BANDWIDTHS)
                 .locking_microbench(256, Duration::ZERO)
                 .seed(0xF00D)
                 .seeds(opts.seeds.max(1))

@@ -29,6 +29,8 @@
 //! destination left unreachable is counted undeliverable and the wedge
 //! surfaces through the core watchdog.
 
+use std::fmt;
+
 use bash_kernel::{DetRng, Duration, Time};
 
 /// Fault profile of one directed link. The default profile is benign
@@ -174,32 +176,80 @@ impl FaultPlaneConfig {
             .unwrap_or(&self.default_profile)
     }
 
-    /// Validates probabilities and transport parameters.
+    /// Checks probabilities, outage windows and transport parameters.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on probabilities outside `[0, 1)` or a zero retransmit
-    /// budget.
-    pub fn validate(&self) {
-        let check = |p: &LinkFaultProfile| {
-            assert!(
-                (0.0..1.0).contains(&p.drop_prob) && (0.0..1.0).contains(&p.corrupt_prob),
-                "fault probabilities must be in [0, 1)"
-            );
-            for &(from, to) in &p.down {
-                assert!(from < to, "down window must be non-empty");
+    /// The first rule the plane breaks, as a [`FaultPlaneError`].
+    pub fn check(&self) -> Result<(), FaultPlaneError> {
+        let profile = |link: Option<(u16, u16)>, p: &LinkFaultProfile| {
+            if !(0.0..1.0).contains(&p.drop_prob) || !(0.0..1.0).contains(&p.corrupt_prob) {
+                return Err(FaultPlaneError::ProbabilityOutOfRange { link });
             }
+            if p.down.iter().any(|&(from, to)| from >= to) {
+                return Err(FaultPlaneError::EmptyDownWindow { link });
+            }
+            Ok(())
         };
-        check(&self.default_profile);
-        for (_, p) in &self.overrides {
-            check(p);
+        profile(None, &self.default_profile)?;
+        for (link, p) in &self.overrides {
+            profile(Some(*link), p)?;
         }
         if let Some(t) = &self.transport {
-            assert!(t.retransmit_budget > 0, "retransmit budget must be >= 1");
-            assert!(!t.rto.is_zero(), "rto must be positive");
+            if t.retransmit_budget == 0 {
+                return Err(FaultPlaneError::ZeroRetransmitBudget);
+            }
+            if t.rto.is_zero() {
+                return Err(FaultPlaneError::ZeroRto);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`FaultPlaneConfig`] was rejected by [`FaultPlaneConfig::check`].
+/// `link` names the offending per-link override as `(from, to)`, or
+/// `None` for the default profile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPlaneError {
+    /// A drop or corruption probability lies outside `[0, 1)`.
+    ProbabilityOutOfRange {
+        /// The offending override, or `None` for the default profile.
+        link: Option<(u16, u16)>,
+    },
+    /// A scheduled outage window `[from, to)` is empty or reversed.
+    EmptyDownWindow {
+        /// The offending override, or `None` for the default profile.
+        link: Option<(u16, u16)>,
+    },
+    /// The transport's retransmit budget is zero.
+    ZeroRetransmitBudget,
+    /// The transport's retransmission timeout is zero.
+    ZeroRto,
+}
+
+impl fmt::Display for FaultPlaneError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let profile = |link: &Option<(u16, u16)>| match link {
+            Some((from, to)) => format!("link {from}->{to}"),
+            None => "the default profile".to_string(),
+        };
+        match self {
+            FaultPlaneError::ProbabilityOutOfRange { link } => write!(
+                f,
+                "fault probabilities must be in [0, 1) ({})",
+                profile(link)
+            ),
+            FaultPlaneError::EmptyDownWindow { link } => {
+                write!(f, "down window must be non-empty ({})", profile(link))
+            }
+            FaultPlaneError::ZeroRetransmitBudget => f.write_str("retransmit budget must be >= 1"),
+            FaultPlaneError::ZeroRto => f.write_str("rto must be positive"),
         }
     }
 }
+
+impl std::error::Error for FaultPlaneError {}
 
 /// Why a crossing was discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,10 +324,13 @@ impl FaultPlane {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see
-    /// [`FaultPlaneConfig::validate`]).
+    /// Panics with the [`FaultPlaneError`] message if
+    /// [`FaultPlaneConfig::check`] rejects `cfg`. A `SystemConfig` that
+    /// passes its own `check` never reaches this panic.
     pub fn new(cfg: &FaultPlaneConfig, endpoints: &[(u16, u16)]) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("invalid fault plane: {e}");
+        }
         let mut master = DetRng::seed_from(cfg.seed);
         let links = endpoints
             .iter()
@@ -477,6 +530,47 @@ mod tests {
     #[test]
     #[should_panic(expected = "probabilities")]
     fn out_of_range_probability_rejected() {
-        FaultPlaneConfig::lossy(1, 1.5).validate();
+        FaultPlane::new(&FaultPlaneConfig::lossy(1, 1.5), &endpoints());
+    }
+
+    #[test]
+    fn check_names_the_broken_rule() {
+        assert_eq!(FaultPlaneConfig::lossy(1, 0.5).check(), Ok(()));
+        assert_eq!(
+            FaultPlaneConfig::lossy(1, -0.1).check(),
+            Err(FaultPlaneError::ProbabilityOutOfRange { link: None })
+        );
+        assert_eq!(
+            FaultPlaneConfig::lossy(1, f64::NAN).check(),
+            Err(FaultPlaneError::ProbabilityOutOfRange { link: None })
+        );
+        let corrupt = LinkFaultProfile {
+            corrupt_prob: 1.0,
+            ..LinkFaultProfile::default()
+        };
+        assert_eq!(
+            FaultPlaneConfig::lossy(1, 0.0)
+                .with_link(2, 3, corrupt)
+                .check(),
+            Err(FaultPlaneError::ProbabilityOutOfRange { link: Some((2, 3)) })
+        );
+        let outage = LinkFaultProfile {
+            down: vec![(Time::from_ns(5), Time::from_ns(5))],
+            ..LinkFaultProfile::default()
+        };
+        assert_eq!(
+            FaultPlaneConfig::lossy(1, 0.0)
+                .with_link(0, 1, outage)
+                .check(),
+            Err(FaultPlaneError::EmptyDownWindow { link: Some((0, 1)) })
+        );
+        let mut plane = FaultPlaneConfig::lossy(1, 0.1);
+        plane.transport.as_mut().unwrap().retransmit_budget = 0;
+        assert_eq!(plane.check(), Err(FaultPlaneError::ZeroRetransmitBudget));
+        let mut plane = FaultPlaneConfig::lossy(1, 0.1);
+        plane.transport.as_mut().unwrap().rto = Duration::ZERO;
+        assert_eq!(plane.check(), Err(FaultPlaneError::ZeroRto));
+        // Without a transport its parameters are not consulted.
+        assert_eq!(plane.unprotected().check(), Ok(()));
     }
 }

@@ -45,7 +45,9 @@ pub mod topology;
 pub use arena::{MsgArena, MsgRef};
 pub use crossbar::{Crossbar, Delivery, Jitter, NetConfig, NetEvent, NetStep};
 pub use fabric::{Fabric, Interconnect};
-pub use fault::{FaultPlane, FaultPlaneConfig, FaultStats, LinkFaultProfile, TransportConfig};
+pub use fault::{
+    FaultPlane, FaultPlaneConfig, FaultPlaneError, FaultStats, LinkFaultProfile, TransportConfig,
+};
 pub use ids::{NodeId, NodeSet};
 pub use message::{Message, Ordered, VnetId};
 pub use topology::{OrderingMode, Topology, TopologyKind};

@@ -19,7 +19,7 @@ use bash_kernel::pool;
 use bash_kernel::stats::RunningStat;
 use bash_kernel::{Duration, QueueKind, Time};
 use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
-use bash_sim::{RunError, RunStats, System, SystemConfig, WatchdogBudget};
+use bash_sim::{ConfigError, RunError, RunStats, System, SystemConfig, WatchdogBudget};
 use bash_trace::{Trace, TraceReader};
 use bash_workloads::{
     catalog, LockingMicrobench, ScriptWorkload, StreamingTraceWorkload, SyntheticWorkload,
@@ -28,6 +28,15 @@ use bash_workloads::{
 
 /// A type-erased workload, as produced by [`SimBuilder`] workload factories.
 pub type BoxedWorkload = Box<dyn Workload>;
+
+/// How many times the sweep executor re-attempts a grid point whose
+/// simulation panicked (for environmental flakes) before recording a
+/// `kind=panicked` [`PointError`] row.
+const PANIC_RETRIES: u32 = 1;
+
+/// The maximum injection delay that perturbs runs after the first of a
+/// multi-seed report (the experiments' historical value).
+const PERTURBATION: Duration = Duration::from_ns(3);
 
 /// One executed grid point: its measured stats plus (for the first grid
 /// point only, when enabled) the policy trace and the captured op trace.
@@ -92,10 +101,10 @@ impl fmt::Display for PointError {
 /// Why a [`SimBuilder`] configuration was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// The system needs at least one node.
-    ZeroNodes,
-    /// Endpoint links need positive bandwidth.
-    ZeroBandwidth,
+    /// The system configuration of some sweep point breaks a rule of
+    /// [`SystemConfig::check`] (node count, bandwidth, cache geometry,
+    /// hierarchy shape, adaptor, fault plane, ...).
+    Config(ConfigError),
     /// A bandwidth sweep needs at least one point.
     EmptySweep,
     /// Seed aggregation needs at least one run.
@@ -104,12 +113,6 @@ pub enum BuildError {
     EmptyMeasurement,
     /// No workload was configured.
     MissingWorkload,
-    /// The broadcast cost multiplier must be at least 1.
-    BadBroadcastCost,
-    /// The BASH retry buffer needs at least one entry.
-    ZeroRetryCapacity,
-    /// The cache needs at least one set and one way.
-    BadCacheGeometry,
     /// [`SimBuilder::scenario`] was given a name the catalog does not know.
     UnknownScenario(String),
     /// [`SimBuilder::trace_in`] trace was captured on a different node
@@ -120,8 +123,8 @@ pub enum BuildError {
         /// Node count the builder is configured for.
         nodes: u16,
     },
-    /// [`SimBuilder::trace_out_all_points`] was enabled without a
-    /// [`SimBuilder::trace_out`] path to derive the bundle paths from.
+    /// [`CaptureSpec::all_points`] was enabled without a
+    /// [`CaptureSpec::ops_to`] path to derive the bundle paths from.
     AllPointsWithoutTraceOut,
     /// [`SimBuilder::trace_in_path`] could not open or decode the trace
     /// file's header.
@@ -131,49 +134,29 @@ pub enum BuildError {
         /// The decode error, rendered.
         error: String,
     },
-    /// A fault plane was configured together with the crossbar topology,
-    /// which has no links to inject faults on.
-    FaultPlaneNeedsFabric,
     /// An *unprotected* lossy fault plane was configured without a
     /// watchdog budget: messages are silently lost, so wedges are the
     /// expected outcome, and an unbudgeted run can only be cut off by the
     /// drained-queue stall check — which never fires while retransmission
-    /// timers or samplers keep the queue alive. Either arm a
-    /// [`RobustnessSpec::watchdog`], or opt in to unguarded wedges with
-    /// [`RobustnessSpec::allow_unprotected_wedges`].
+    /// timers or samplers keep the queue alive. Arm a
+    /// [`RobustnessSpec::watchdog`].
     UnprotectedLossyNeedsWatchdog,
-    /// A [`HierarchySpec`] was configured with a zero cluster size.
-    ZeroClusterSize,
-    /// A [`HierarchySpec`] was configured with zero directory-spine banks.
-    ZeroHierarchyBanks,
-    /// The hierarchy's cluster size does not divide the node count.
-    ClusterSizeMismatch {
-        /// Configured nodes per cluster.
-        cluster_size: u16,
-        /// Configured node count.
-        nodes: u16,
-    },
-    /// The hierarchy's bank count does not divide the node count.
-    BankCountMismatch {
-        /// Configured directory-spine banks.
-        banks: u16,
-        /// Configured node count.
-        nodes: u16,
-    },
+}
+
+impl From<ConfigError> for BuildError {
+    fn from(e: ConfigError) -> Self {
+        BuildError::Config(e)
+    }
 }
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BuildError::ZeroNodes => f.write_str("need at least one node"),
-            BuildError::ZeroBandwidth => f.write_str("bandwidth must be positive"),
+            BuildError::Config(e) => e.fmt(f),
             BuildError::EmptySweep => f.write_str("bandwidth sweep needs at least one point"),
             BuildError::ZeroSeeds => f.write_str("seed aggregation needs at least one run"),
             BuildError::EmptyMeasurement => f.write_str("measurement window must be non-empty"),
             BuildError::MissingWorkload => f.write_str("no workload configured"),
-            BuildError::BadBroadcastCost => f.write_str("broadcast cost multiplier must be >= 1"),
-            BuildError::ZeroRetryCapacity => f.write_str("BASH needs at least one retry buffer"),
-            BuildError::BadCacheGeometry => f.write_str("cache needs at least one set and one way"),
             BuildError::UnknownScenario(name) => write!(
                 f,
                 "unknown scenario {name:?} (known: {})",
@@ -184,33 +167,14 @@ impl fmt::Display for BuildError {
                 "trace was captured on {trace} nodes but the builder is configured for {nodes}"
             ),
             BuildError::AllPointsWithoutTraceOut => {
-                f.write_str("trace_out_all_points needs a trace_out path to derive bundle paths")
+                f.write_str("capturing all points needs an ops_to path to derive bundle paths")
             }
             BuildError::TraceUnreadable { path, error } => {
                 write!(f, "trace file {}: {error}", path.display())
             }
-            BuildError::FaultPlaneNeedsFabric => {
-                f.write_str("the fault plane needs a fabric topology (the crossbar has no links)")
+            BuildError::UnprotectedLossyNeedsWatchdog => {
+                f.write_str("an unprotected lossy fault plane needs a watchdog budget")
             }
-            BuildError::UnprotectedLossyNeedsWatchdog => f.write_str(
-                "an unprotected lossy fault plane needs a watchdog budget \
-                 (or RobustnessSpec::allow_unprotected_wedges to opt in to unguarded wedges)",
-            ),
-            BuildError::ZeroClusterSize => f.write_str("hierarchy cluster size must be at least 1"),
-            BuildError::ZeroHierarchyBanks => {
-                f.write_str("hierarchy bank count must be at least 1")
-            }
-            BuildError::ClusterSizeMismatch {
-                cluster_size,
-                nodes,
-            } => write!(
-                f,
-                "hierarchy cluster size {cluster_size} does not divide the node count {nodes}"
-            ),
-            BuildError::BankCountMismatch { banks, nodes } => write!(
-                f,
-                "hierarchy bank count {banks} does not divide the node count {nodes}"
-            ),
         }
     }
 }
@@ -284,7 +248,7 @@ pub struct RunReport {
     /// Fraction of cache requests broadcast (1 = snooping-like behaviour).
     pub broadcast_fraction: Metric,
     /// Per-sampling-window mean policy-counter trace of the first seed,
-    /// when enabled with [`SimBuilder::trace_policy`].
+    /// when enabled with [`CaptureSpec::policy`].
     pub policy_trace: Option<Vec<(Time, f64)>>,
     /// The raw measured-window statistics of every seed that completed,
     /// in seed order. Failed seeds appear in [`errors`](Self::errors)
@@ -369,14 +333,15 @@ impl WorkloadSpec {
 }
 
 /// The interconnect half of a [`SimBuilder`] configuration: topology,
-/// endpoint bandwidth sweep, broadcast cost and latency jitter — the
-/// knobs that describe the *network*, grouped so a campaign can carry
-/// them around as one value and hand them to [`SimBuilder::fabric`].
+/// broadcast cost and latency jitter — the knobs that describe the
+/// *network*, grouped so a campaign can carry them around as one value
+/// and hand them to [`SimBuilder::fabric`]. The bandwidth sweep is set on
+/// the builder itself ([`SimBuilder::bandwidths`]).
 ///
 /// ```
 /// use bash::{FabricSpec, TopologyKind};
 ///
-/// let spec = FabricSpec::new(TopologyKind::Mesh2D).bandwidth_mbps(800);
+/// let spec = FabricSpec::new(TopologyKind::Mesh2D).broadcast_cost(4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FabricSpec {
@@ -386,10 +351,6 @@ pub struct FabricSpec {
     /// per-directed-link contention and per-link stats in
     /// [`RunStats::links`](bash_sim::RunStats).
     pub topology: TopologyKind,
-    /// Endpoint link bandwidths in MB/s: the sweep axis of
-    /// [`SimBuilder::run_sweep`] (the paper's x-axis);
-    /// [`SimBuilder::run`] uses the first point.
-    pub bandwidths: Vec<u64>,
     /// Bandwidth multiplier for full broadcasts (4 in Figure 11).
     pub broadcast_cost: u32,
     /// Explicit message-latency jitter forced on *every* run, overriding
@@ -401,7 +362,6 @@ impl Default for FabricSpec {
     fn default() -> Self {
         FabricSpec {
             topology: TopologyKind::Crossbar,
-            bandwidths: vec![1600],
             broadcast_cost: 1,
             jitter: None,
         }
@@ -409,24 +369,12 @@ impl Default for FabricSpec {
 }
 
 impl FabricSpec {
-    /// A spec for `topology` with the paper-default 1600 MB/s links.
+    /// A spec for `topology` with unit broadcast cost and no jitter.
     pub fn new(topology: TopologyKind) -> Self {
         FabricSpec {
             topology,
             ..FabricSpec::default()
         }
-    }
-
-    /// Sets a single endpoint link bandwidth in MB/s.
-    pub fn bandwidth_mbps(mut self, mbps: u64) -> Self {
-        self.bandwidths = vec![mbps];
-        self
-    }
-
-    /// Sets the bandwidth sweep.
-    pub fn bandwidths(mut self, mbps: impl IntoIterator<Item = u64>) -> Self {
-        self.bandwidths = mbps.into_iter().collect();
-        self
     }
 
     /// Sets the broadcast bandwidth multiplier.
@@ -443,12 +391,11 @@ impl FabricSpec {
 }
 
 /// The robustness half of a [`SimBuilder`] configuration: deterministic
-/// link faults, the quiescence watchdog, and the sweep executor's panic
-/// isolation. Handed to [`SimBuilder::robustness`] as one value, with the
-/// cross-field rules checked together at
-/// [`validate`](SimBuilder::validate) time (an unprotected lossy plane
-/// without a watchdog is rejected unless explicitly allowed).
-#[derive(Debug, Clone)]
+/// link faults and the quiescence watchdog. Handed to
+/// [`SimBuilder::robustness`] as one value, with the cross-field rules
+/// checked together at [`validate`](SimBuilder::validate) time (an
+/// unprotected lossy plane without a watchdog is rejected).
+#[derive(Debug, Clone, Default)]
 pub struct RobustnessSpec {
     /// Deterministic link faults (drops, corruption, delay, outages)
     /// injected into the routed fabric. With [`FaultPlaneConfig::lossy`]
@@ -460,29 +407,10 @@ pub struct RobustnessSpec {
     /// structured [`bash_sim::WedgeDiagnostic`] instead of spinning
     /// forever; in a sweep the wedge becomes a [`PointError`] row.
     pub watchdog: Option<WatchdogBudget>,
-    /// How many times the sweep executor re-attempts a grid point whose
-    /// simulation panicked (for environmental flakes) before recording a
-    /// `kind=panicked` [`PointError`] row. Default 1.
-    pub panic_retries: u32,
-    /// Opts out of [`BuildError::UnprotectedLossyNeedsWatchdog`]: run an
-    /// unprotected lossy plane with no watchdog budget, relying on the
-    /// drained-queue stall check alone to diagnose the expected wedges.
-    pub allow_unprotected_wedges: bool,
-}
-
-impl Default for RobustnessSpec {
-    fn default() -> Self {
-        RobustnessSpec {
-            fault_plane: None,
-            watchdog: None,
-            panic_retries: 1,
-            allow_unprotected_wedges: false,
-        }
-    }
 }
 
 impl RobustnessSpec {
-    /// The default spec: no faults, no watchdog, one panic retry.
+    /// The default spec: no faults, no watchdog.
     pub fn new() -> Self {
         RobustnessSpec::default()
     }
@@ -496,18 +424,6 @@ impl RobustnessSpec {
     /// Arms the quiescence watchdog.
     pub fn watchdog(mut self, budget: WatchdogBudget) -> Self {
         self.watchdog = Some(budget);
-        self
-    }
-
-    /// Sets the panic retry budget of the sweep executor.
-    pub fn panic_retries(mut self, retries: u32) -> Self {
-        self.panic_retries = retries;
-        self
-    }
-
-    /// Allows an unprotected lossy plane to run without a watchdog.
-    pub fn allow_unprotected_wedges(mut self, on: bool) -> Self {
-        self.allow_unprotected_wedges = on;
         self
     }
 }
@@ -573,165 +489,32 @@ impl CaptureSpec {
     }
 }
 
-/// The two-level-hierarchy half of a [`SimBuilder`] configuration:
-/// nodes grouped into snooping clusters under a directory spine sharded
-/// across address-interleaved banks. Handed to
-/// [`SimBuilder::hierarchy`] as one value; both knobs must divide the
-/// node count ([`SimBuilder::validate`] rejects misfits).
-///
-/// Under a hierarchy every protocol personality rides the hierarchical
-/// BASH engine: Snooping cluster-casts every request, Directory
-/// dualcasts to the spine bank, and BASH chooses per cluster via the
-/// paper's adaptive mechanism fed with cluster-mean utilization. See
-/// `docs/HIERARCHY.md`.
-///
-/// ```
-/// use bash::{HierarchySpec, ProtocolKind, SimBuilder};
-///
-/// let b = SimBuilder::new(ProtocolKind::Bash)
-///     .nodes(64)
-///     .hierarchy(HierarchySpec::new(8, 4));
-/// assert!(b.validate().is_err()); // no workload yet — but the shape fits
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchySpec {
-    /// Nodes per snooping cluster (≥ 1, must divide the node count).
-    pub cluster_size: u16,
-    /// Address-interleaved directory-spine banks (≥ 1, must divide the
-    /// node count).
-    pub banks: u16,
-}
-
-impl HierarchySpec {
-    /// A hierarchy of `cluster_size`-node clusters under `banks` spine
-    /// banks.
-    pub fn new(cluster_size: u16, banks: u16) -> Self {
-        HierarchySpec {
-            cluster_size,
-            banks,
-        }
-    }
-
-    /// Sets the nodes per cluster.
-    pub fn cluster_size(mut self, cluster_size: u16) -> Self {
-        self.cluster_size = cluster_size;
-        self
-    }
-
-    /// Sets the directory-spine bank count.
-    pub fn banks(mut self, banks: u16) -> Self {
-        self.banks = banks;
-        self
-    }
-
-    /// The coherence-layer shape this spec configures.
-    pub fn config(&self) -> HierarchyConfig {
-        HierarchyConfig::new(self.cluster_size, self.banks)
-    }
-}
-
-/// Values set through the deprecated per-field [`SimBuilder`] shims that
-/// must survive a later [`SimBuilder::fabric`] replacing the whole spec —
-/// without this, `.topology(Mesh2D).fabric(spec)` and
-/// `.fabric(spec).topology(Mesh2D)` would disagree.
-#[derive(Debug, Clone, Default)]
-struct FabricOverrides {
-    topology: Option<TopologyKind>,
-    broadcast_cost: Option<u32>,
-    jitter: Option<Jitter>,
-}
-
-impl FabricOverrides {
-    fn apply(&self, spec: &mut FabricSpec) {
-        if let Some(topology) = self.topology {
-            spec.topology = topology;
-        }
-        if let Some(cost) = self.broadcast_cost {
-            spec.broadcast_cost = cost;
-        }
-        if let Some(jitter) = &self.jitter {
-            spec.jitter = Some(jitter.clone());
-        }
-    }
-}
-
-/// Shim values that must survive [`SimBuilder::robustness`] (see
-/// [`FabricOverrides`]).
-#[derive(Debug, Clone, Default)]
-struct RobustnessOverrides {
-    fault_plane: Option<FaultPlaneConfig>,
-    watchdog: Option<WatchdogBudget>,
-}
-
-impl RobustnessOverrides {
-    fn apply(&self, spec: &mut RobustnessSpec) {
-        if let Some(plane) = &self.fault_plane {
-            spec.fault_plane = Some(plane.clone());
-        }
-        if let Some(budget) = self.watchdog {
-            spec.watchdog = Some(budget);
-        }
-    }
-}
-
-/// Shim values that must survive [`SimBuilder::capture`] (see
-/// [`FabricOverrides`]).
-#[derive(Debug, Clone, Default)]
-struct CaptureOverrides {
-    ops_out: Option<PathBuf>,
-    all_points: Option<bool>,
-    completions: Option<bool>,
-    policy: Option<bool>,
-}
-
-impl CaptureOverrides {
-    fn apply(&self, spec: &mut CaptureSpec) {
-        if let Some(path) = &self.ops_out {
-            spec.ops_out = Some(path.clone());
-        }
-        if let Some(all) = self.all_points {
-            spec.all_points = all;
-        }
-        if let Some(completions) = self.completions {
-            spec.completions = completions;
-        }
-        if let Some(policy) = self.policy {
-            spec.policy = policy;
-        }
-    }
-}
-
 /// Fluent configuration of one simulation campaign.
 ///
 /// Defaults mirror [`SystemConfig::paper_default`]: the paper's latencies,
 /// cache geometry, adaptive mechanism, retry capacity and seed, with 16
 /// nodes at 1600 MB/s. See the crate-level docs for a quickstart.
 ///
-/// Cross-cutting concerns are grouped into typed sub-configs —
-/// [`FabricSpec`] ([`fabric`](Self::fabric)), [`RobustnessSpec`]
-/// ([`robustness`](Self::robustness)) and [`CaptureSpec`]
-/// ([`capture`](Self::capture)) — whose interactions are validated
-/// together. The historical per-field setters remain as deprecated shims.
+/// Each value has one setter. Cross-cutting concerns are grouped into
+/// typed sub-configs — [`FabricSpec`] ([`fabric`](Self::fabric)),
+/// [`RobustnessSpec`] ([`robustness`](Self::robustness)) and
+/// [`CaptureSpec`] ([`capture`](Self::capture)) — and
+/// [`validate`](Self::validate) checks the whole configuration, through
+/// [`SystemConfig::check`] for every sweep point.
 pub struct SimBuilder {
     protocol: ProtocolKind,
     nodes: u16,
+    bandwidths: Vec<u64>,
     fabric: FabricSpec,
     robustness: RobustnessSpec,
     capture: CaptureSpec,
-    hierarchy: Option<HierarchySpec>,
-    fabric_overrides: FabricOverrides,
-    robustness_overrides: RobustnessOverrides,
-    capture_overrides: CaptureOverrides,
+    hierarchy: Option<HierarchyConfig>,
     warmup: Duration,
     measure: Duration,
     seeds: u32,
     base_seed: u64,
-    perturbation: Duration,
     adaptor: Option<AdaptorConfig>,
     cache: Option<CacheGeometry>,
-    retry_capacity: Option<usize>,
-    serialize_dram: Option<bool>,
-    coverage: bool,
     threads: Option<usize>,
     queue: QueueKind,
     workload: Option<WorkloadSpec>,
@@ -744,87 +527,69 @@ impl SimBuilder {
         SimBuilder {
             protocol,
             nodes: 16,
+            bandwidths: vec![1600],
             fabric: FabricSpec::default(),
             robustness: RobustnessSpec::default(),
             capture: CaptureSpec::default(),
             hierarchy: None,
-            fabric_overrides: FabricOverrides::default(),
-            robustness_overrides: RobustnessOverrides::default(),
-            capture_overrides: CaptureOverrides::default(),
             warmup: Duration::from_ns(100_000),
             measure: Duration::from_ns(400_000),
             seeds: 1,
             base_seed: SystemConfig::paper_default(protocol, 16, 1600).seed,
-            perturbation: Duration::from_ns(3),
             adaptor: None,
             cache: None,
-            retry_capacity: None,
-            serialize_dram: None,
-            coverage: false,
             threads: None,
             queue: QueueKind::default(),
             workload: None,
         }
     }
 
-    /// Replaces the whole interconnect configuration (topology, bandwidth
-    /// sweep, broadcast cost, jitter) with `spec`. Fields previously set
-    /// through the deprecated per-field shims
-    /// ([`topology`](Self::topology), [`broadcast_cost`](Self::broadcast_cost),
-    /// [`jitter`](Self::jitter)) survive the replacement — setter order
-    /// never changes the configuration.
+    /// Replaces the whole interconnect configuration (topology, broadcast
+    /// cost, jitter) with `spec`.
     pub fn fabric(mut self, spec: FabricSpec) -> Self {
         self.fabric = spec;
-        self.fabric_overrides.apply(&mut self.fabric);
         self
     }
 
-    /// Replaces the whole robustness configuration (fault plane, watchdog,
-    /// panic retries) with `spec`. The cross-field rules — a fault plane
-    /// needs a fabric topology; an unprotected lossy plane needs a
-    /// watchdog or an explicit opt-out — are checked at
-    /// [`validate`](Self::validate) / run time. Fields previously set
-    /// through the deprecated [`fault_plane`](Self::fault_plane) /
-    /// [`watchdog`](Self::watchdog) shims survive the replacement.
+    /// Replaces the whole robustness configuration (fault plane,
+    /// watchdog) with `spec`. The cross-field rules — a fault plane needs
+    /// a fabric topology; an unprotected lossy plane needs a watchdog —
+    /// are checked at [`validate`](Self::validate) / run time.
     pub fn robustness(mut self, spec: RobustnessSpec) -> Self {
         self.robustness = spec;
-        self.robustness_overrides.apply(&mut self.robustness);
         self
     }
 
     /// Replaces the whole capture configuration (op-trace output,
-    /// completion stamps, policy trace) with `spec`. Fields previously
-    /// set through the deprecated [`trace_out`](Self::trace_out) /
-    /// [`trace_out_all_points`](Self::trace_out_all_points) /
-    /// [`capture_completions`](Self::capture_completions) /
-    /// [`trace_policy`](Self::trace_policy) shims survive the
-    /// replacement.
+    /// completion stamps, policy trace) with `spec`.
     pub fn capture(mut self, spec: CaptureSpec) -> Self {
         self.capture = spec;
-        self.capture_overrides.apply(&mut self.capture);
         self
     }
 
     /// Groups the nodes into a two-level hierarchy: snooping clusters of
-    /// [`HierarchySpec::cluster_size`] nodes under a directory spine
-    /// sharded across [`HierarchySpec::banks`] address-interleaved
+    /// [`HierarchyConfig::cluster_size`] nodes under a directory spine
+    /// sharded across [`HierarchyConfig::banks`] address-interleaved
     /// banks. Both counts must divide the node count;
     /// [`validate`](Self::validate) rejects misfits. See
     /// `docs/HIERARCHY.md`.
-    pub fn hierarchy(mut self, spec: HierarchySpec) -> Self {
-        self.hierarchy = Some(spec);
-        self
-    }
-
-    /// Returns the system to a flat (single-level) organization.
-    pub fn flat(mut self) -> Self {
-        self.hierarchy = None;
-        self
-    }
-
-    /// Switches the protocol.
-    pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = protocol;
+    ///
+    /// Under a hierarchy every protocol personality rides the
+    /// hierarchical BASH engine: Snooping cluster-casts every request,
+    /// Directory dualcasts to the spine bank, and BASH chooses per
+    /// cluster via the paper's adaptive mechanism fed with cluster-mean
+    /// utilization.
+    ///
+    /// ```
+    /// use bash::{HierarchyConfig, ProtocolKind, SimBuilder};
+    ///
+    /// let b = SimBuilder::new(ProtocolKind::Bash)
+    ///     .nodes(64)
+    ///     .hierarchy(HierarchyConfig::new(8, 4));
+    /// assert!(b.validate().is_err()); // no workload yet — but the shape fits
+    /// ```
+    pub fn hierarchy(mut self, shape: HierarchyConfig) -> Self {
+        self.hierarchy = Some(shape);
         self
     }
 
@@ -834,25 +599,16 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the interconnect topology.
-    #[deprecated(note = "use `.fabric(FabricSpec::new(topology))` (or set it on a FabricSpec)")]
-    pub fn topology(mut self, topology: TopologyKind) -> Self {
-        self.fabric.topology = topology;
-        self.fabric_overrides.topology = Some(topology);
-        self
-    }
-
-    /// Sets a single endpoint link bandwidth in MB/s (shorthand for the
-    /// [`FabricSpec::bandwidth_mbps`] field of [`fabric`](Self::fabric)).
+    /// Sets a single endpoint link bandwidth in MB/s.
     pub fn bandwidth_mbps(mut self, mbps: u64) -> Self {
-        self.fabric.bandwidths = vec![mbps];
+        self.bandwidths = vec![mbps];
         self
     }
 
     /// Sets the bandwidth sweep for [`run_sweep`](Self::run_sweep) (the
     /// paper's x-axis). [`run`](Self::run) uses the first point.
     pub fn bandwidths(mut self, mbps: impl IntoIterator<Item = u64>) -> Self {
-        self.fabric.bandwidths = mbps.into_iter().collect();
+        self.bandwidths = mbps.into_iter().collect();
         self
     }
 
@@ -887,9 +643,9 @@ impl SimBuilder {
 
     /// Aggregates every report over `seeds` perturbed runs (the paper's
     /// methodology: deterministic runs perturbed with small random request
-    /// delays, mean ± stddev reported). With more than one seed, runs
-    /// after the first get a small injection-latency jitter; see
-    /// [`perturbation`](Self::perturbation).
+    /// delays, mean ± stddev reported). With more than one seed, every
+    /// run gets its own small random injection delay of up to 3 ns,
+    /// unless [`FabricSpec::jitter`] forces an explicit jitter.
     pub fn seeds(mut self, seeds: u32) -> Self {
         self.seeds = seeds;
         self
@@ -898,30 +654,6 @@ impl SimBuilder {
     /// Sets the base RNG seed. Run `s` uses `base + s * 7919`.
     pub fn seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
-        self
-    }
-
-    /// Sets the maximum injection delay used to perturb multi-seed runs
-    /// (default 3 ns, the experiments' historical value).
-    pub fn perturbation(mut self, max_delay: Duration) -> Self {
-        self.perturbation = max_delay;
-        self
-    }
-
-    /// Forces an explicit message-latency jitter on *every* run,
-    /// overriding the multi-seed perturbation default.
-    #[deprecated(note = "use `.fabric(...)` with `FabricSpec::jitter`")]
-    pub fn jitter(mut self, jitter: Jitter) -> Self {
-        self.fabric.jitter = Some(jitter.clone());
-        self.fabric_overrides.jitter = Some(jitter);
-        self
-    }
-
-    /// Sets the bandwidth multiplier for full broadcasts (4 in Figure 11).
-    #[deprecated(note = "use `.fabric(...)` with `FabricSpec::broadcast_cost`")]
-    pub fn broadcast_cost(mut self, multiplier: u32) -> Self {
-        self.fabric.broadcast_cost = multiplier;
-        self.fabric_overrides.broadcast_cost = Some(multiplier);
         self
     }
 
@@ -934,34 +666,6 @@ impl SimBuilder {
     /// Overrides the L2 cache geometry.
     pub fn cache(mut self, geometry: CacheGeometry) -> Self {
         self.cache = Some(geometry);
-        self
-    }
-
-    /// Overrides the BASH home retry-buffer capacity.
-    pub fn retry_capacity(mut self, capacity: usize) -> Self {
-        self.retry_capacity = Some(capacity);
-        self
-    }
-
-    /// Serializes DRAM accesses (the memory-occupancy ablation).
-    pub fn serialize_dram(mut self, on: bool) -> Self {
-        self.serialize_dram = Some(on);
-        self
-    }
-
-    /// Records transition coverage (Table 1 runs).
-    pub fn coverage(mut self, on: bool) -> Self {
-        self.coverage = on;
-        self
-    }
-
-    /// Records the mean policy-counter trace (one point per adaptive
-    /// sampling window) of the first seed into
-    /// [`RunReport::policy_trace`].
-    #[deprecated(note = "use `.capture(...)` with `CaptureSpec::policy`")]
-    pub fn trace_policy(mut self, on: bool) -> Self {
-        self.capture.policy = on;
-        self.capture_overrides.policy = Some(on);
         self
     }
 
@@ -1030,57 +734,6 @@ impl SimBuilder {
         Ok(self)
     }
 
-    /// Captures the op stream of the first grid point (first bandwidth,
-    /// seed 0) and writes it to `path` in the compact binary form when the
-    /// run finishes. Capture once, then feed the file back through
-    /// [`trace_in`](Self::trace_in) to replay it under any protocol,
-    /// bandwidth, or thread count. To capture **every** (bandwidth × seed)
-    /// grid point instead of just the first, add
-    /// [`trace_out_all_points`](Self::trace_out_all_points). See
-    /// [`try_run_captured`](Self::try_run_captured) for what the capture
-    /// covers on multi-seed runs.
-    ///
-    /// The run (including `try_run`/`try_run_sweep`) **panics** if `path`
-    /// cannot be opened for writing (probed up front, before any
-    /// simulation runs) or the capture turns out unusable (the workload
-    /// yielded no ops) — capture failures are programmer errors, not
-    /// configuration errors, so they are not `BuildError`s.
-    #[deprecated(note = "use `.capture(...)` with `CaptureSpec::ops_to`")]
-    pub fn trace_out(mut self, path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        self.capture.ops_out = Some(path.clone());
-        self.capture_overrides.ops_out = Some(path);
-        self
-    }
-
-    /// Stamps every captured op with its issue→complete latency, so
-    /// [`trace_out`](Self::trace_out) /
-    /// [`run_captured`](Self::run_captured) produce **completion-bearing**
-    /// traces — the input the differential latency pass
-    /// ([`bash_tester::differential_trace`]) summarizes per protocol.
-    /// Off by default: reference-stream goldens stay lean and
-    /// timing-free.
-    #[deprecated(note = "use `.capture(...)` with `CaptureSpec::completions`")]
-    pub fn capture_completions(mut self, on: bool) -> Self {
-        self.capture.completions = on;
-        self.capture_overrides.completions = Some(on);
-        self
-    }
-
-    /// Captures **every** (bandwidth × seed) grid point of the run into a
-    /// trace bundle, not just the first. Each point is written next to the
-    /// [`trace_out`](Self::trace_out) path with a `.b<mbps>.s<seed>`
-    /// infix — `traces/run.trace` becomes `traces/run.b400.s0.trace`,
-    /// `traces/run.b400.s1.trace`, … — and the first grid point is still
-    /// written to the plain path itself. Requires `trace_out`;
-    /// [`validate`](Self::validate) rejects the combination otherwise.
-    #[deprecated(note = "use `.capture(...)` with `CaptureSpec::all_points`")]
-    pub fn trace_out_all_points(mut self, on: bool) -> Self {
-        self.capture.all_points = on;
-        self.capture_overrides.all_points = Some(on);
-        self
-    }
-
     /// Uses an arbitrary workload factory, called once per run with the
     /// system size and that run's seed. The factory must be `Send + Sync`
     /// because runs of a sweep may build their workloads on worker threads.
@@ -1089,35 +742,6 @@ impl SimBuilder {
         factory: impl Fn(u16, u64) -> BoxedWorkload + Send + Sync + 'static,
     ) -> Self {
         self.workload = Some(WorkloadSpec::Factory(Box::new(factory)));
-        self
-    }
-
-    /// Injects deterministic link faults (drops, corruption, delay,
-    /// outages) into the routed fabric, per the plane's per-directed-link
-    /// profiles. With [`FaultPlaneConfig::lossy`] (transport enabled) the
-    /// reliable-delivery layer retransmits until every message lands and
-    /// results stay byte-identical to the fault-free run; with
-    /// [`FaultPlaneConfig::unprotected`] messages are simply lost —
-    /// combine that with [`watchdog`](Self::watchdog) to turn the
-    /// resulting wedges into structured [`PointError`] rows. Requires a
-    /// fabric topology ([`validate`](Self::validate) rejects the
-    /// crossbar, which has no links).
-    #[deprecated(note = "use `.robustness(...)` with `RobustnessSpec::fault_plane`")]
-    pub fn fault_plane(mut self, plane: FaultPlaneConfig) -> Self {
-        self.robustness.fault_plane = Some(plane.clone());
-        self.robustness_overrides.fault_plane = Some(plane);
-        self
-    }
-
-    /// Arms the quiescence watchdog: a run exceeding the budget (events
-    /// processed or virtual time) is cut off with a structured
-    /// [`bash_sim::WedgeDiagnostic`] instead of spinning forever. In a
-    /// sweep the wedge becomes a [`PointError`] row of the report; the
-    /// other grid points keep running.
-    #[deprecated(note = "use `.robustness(...)` with `RobustnessSpec::watchdog`")]
-    pub fn watchdog(mut self, budget: WatchdogBudget) -> Self {
-        self.robustness.watchdog = Some(budget);
-        self.robustness_overrides.watchdog = Some(budget);
         self
     }
 
@@ -1146,7 +770,11 @@ impl SimBuilder {
         self
     }
 
-    /// Checks the configuration without running anything.
+    /// Checks the whole configuration without running anything: the
+    /// measurement plan, [`SystemConfig::check`] on every sweep point, the
+    /// cross-field rules of the grouped specs, and the workload. A
+    /// configuration that passes never panics inside a sweep point on a
+    /// configuration rule.
     pub fn validate(&self) -> Result<(), BuildError> {
         if self.seeds == 0 {
             return Err(BuildError::ZeroSeeds);
@@ -1161,65 +789,29 @@ impl SimBuilder {
         Ok(())
     }
 
-    /// Every plan-independent configuration check — system shape, the
-    /// grouped specs, and their cross-field interactions — consolidated
-    /// in one place and shared by [`validate`](Self::validate) (full
-    /// campaigns) and [`check_runnable`](Self::check_runnable) (plan-less
-    /// entry points like [`build_system`](Self::build_system)).
+    /// Every plan-independent configuration check, shared by
+    /// [`validate`](Self::validate) (full campaigns) and
+    /// [`check_runnable`](Self::check_runnable) (plan-less entry points
+    /// like [`build_system`](Self::build_system)). The system rules live
+    /// in [`SystemConfig::check`]; only the rules about the builder's own
+    /// options are checked here.
     fn check_config(&self) -> Result<(), BuildError> {
-        if self.nodes == 0 {
-            return Err(BuildError::ZeroNodes);
-        }
-        if self.fabric.bandwidths.is_empty() {
+        if self.bandwidths.is_empty() {
             return Err(BuildError::EmptySweep);
         }
-        if self.fabric.bandwidths.contains(&0) {
-            return Err(BuildError::ZeroBandwidth);
-        }
-        if self.fabric.broadcast_cost < 1 {
-            return Err(BuildError::BadBroadcastCost);
-        }
-        if self.retry_capacity == Some(0) {
-            return Err(BuildError::ZeroRetryCapacity);
-        }
-        if let Some(g) = self.cache {
-            if g.sets == 0 || g.ways == 0 {
-                return Err(BuildError::BadCacheGeometry);
-            }
-        }
-        if let Some(h) = &self.hierarchy {
-            if h.cluster_size == 0 {
-                return Err(BuildError::ZeroClusterSize);
-            }
-            if h.banks == 0 {
-                return Err(BuildError::ZeroHierarchyBanks);
-            }
-            if !self.nodes.is_multiple_of(h.cluster_size) {
-                return Err(BuildError::ClusterSizeMismatch {
-                    cluster_size: h.cluster_size,
-                    nodes: self.nodes,
-                });
-            }
-            if !self.nodes.is_multiple_of(h.banks) {
-                return Err(BuildError::BankCountMismatch {
-                    banks: h.banks,
-                    nodes: self.nodes,
-                });
-            }
+        for &mbps in &self.bandwidths {
+            self.config(mbps, 0).check()?;
         }
         if self.capture.all_points && self.capture.ops_out.is_none() {
             return Err(BuildError::AllPointsWithoutTraceOut);
         }
-        if let Some(plane) = &self.robustness.fault_plane {
-            if self.fabric.topology == TopologyKind::Crossbar {
-                return Err(BuildError::FaultPlaneNeedsFabric);
-            }
-            if plane.breaks_delivery()
-                && self.robustness.watchdog.is_none()
-                && !self.robustness.allow_unprotected_wedges
-            {
-                return Err(BuildError::UnprotectedLossyNeedsWatchdog);
-            }
+        let unprotected = self
+            .robustness
+            .fault_plane
+            .as_ref()
+            .is_some_and(FaultPlaneConfig::breaks_delivery);
+        if unprotected && self.robustness.watchdog.is_none() {
+            return Err(BuildError::UnprotectedLossyNeedsWatchdog);
         }
         if let Some(spec) = &self.workload {
             self.check_spec(spec)?;
@@ -1258,8 +850,8 @@ impl SimBuilder {
             .with_broadcast_cost(self.fabric.broadcast_cost)
             .with_queue(self.queue)
             .with_seed(self.base_seed.wrapping_add(seed_index as u64 * 7919));
-        if let Some(h) = &self.hierarchy {
-            cfg = cfg.with_hierarchy(h.config());
+        if let Some(h) = self.hierarchy {
+            cfg = cfg.with_hierarchy(h);
         }
         if let Some(adaptor) = &self.adaptor {
             cfg = cfg.with_adaptor(adaptor.clone());
@@ -1267,20 +859,11 @@ impl SimBuilder {
         if let Some(geometry) = self.cache {
             cfg = cfg.with_cache(geometry);
         }
-        if let Some(capacity) = self.retry_capacity {
-            cfg.retry_capacity = capacity;
-        }
-        if let Some(serialize) = self.serialize_dram {
-            cfg.serialize_dram = serialize;
-        }
         if let Some(plane) = &self.robustness.fault_plane {
             cfg = cfg.with_fault_plane(plane.clone());
         }
         if let Some(budget) = self.robustness.watchdog {
             cfg = cfg.with_watchdog(budget);
-        }
-        if self.coverage {
-            cfg = cfg.with_coverage();
         }
         if let Some(jitter) = &self.fabric.jitter {
             cfg = cfg.with_jitter(jitter.clone());
@@ -1288,7 +871,7 @@ impl SimBuilder {
             // Perturbation methodology: a small random injection delay per
             // request, seeded per run so every report is reproducible.
             cfg = cfg.with_jitter(Jitter::Uniform {
-                injection_max: self.perturbation,
+                injection_max: PERTURBATION,
                 traversal_max: Duration::ZERO,
                 seed: 0x9E37u64.wrapping_add(seed_index as u64),
             });
@@ -1301,7 +884,7 @@ impl SimBuilder {
     /// time themselves (`run_until`, `run_to_idle`, traces).
     pub fn build_system(&self) -> Result<System<BoxedWorkload>, BuildError> {
         let spec = self.check_runnable()?;
-        let cfg = self.config(self.fabric.bandwidths[0], 0);
+        let cfg = self.config(self.bandwidths[0], 0);
         let workload = spec.build(self.nodes, cfg.seed);
         Ok(System::new(cfg, workload))
     }
@@ -1335,10 +918,10 @@ impl SimBuilder {
     /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_verify(&self, ops_per_node: u64) -> Result<bash_tester::VerifyReport, BuildError> {
         let spec = self.check_runnable()?;
-        let cfg = self.config(self.fabric.bandwidths[0], 0);
+        let cfg = self.config(self.bandwidths[0], 0);
         let mut vcfg = bash_tester::VerifyConfig::new(self.protocol, cfg.seed);
         vcfg.nodes = self.nodes;
-        vcfg.link_mbps = self.fabric.bandwidths[0];
+        vcfg.link_mbps = self.bandwidths[0];
         vcfg.topology = self.fabric.topology;
         vcfg.ops_per_node = ops_per_node;
         if self.fabric.jitter.is_some() {
@@ -1349,7 +932,7 @@ impl SimBuilder {
         }
         vcfg.fault_plane = self.robustness.fault_plane.clone();
         vcfg.watchdog = self.robustness.watchdog;
-        vcfg.hierarchy = self.hierarchy.map(|h| h.config());
+        vcfg.hierarchy = self.hierarchy;
         if let WorkloadSpec::Trace(trace) = spec {
             // A replay must reproduce the whole captured stream: the
             // trace's own length, not the op cap, bounds the run.
@@ -1387,7 +970,7 @@ impl SimBuilder {
     /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_run(&self) -> Result<RunReport, BuildError> {
         self.validate()?;
-        let bandwidths = &self.fabric.bandwidths[..1];
+        let bandwidths = &self.bandwidths[..1];
         Ok(self
             .run_grid(bandwidths, self.capture.ops_out.is_some())
             .0
@@ -1419,7 +1002,7 @@ impl SimBuilder {
     pub fn try_run_sweep(&self) -> Result<Vec<RunReport>, BuildError> {
         self.validate()?;
         Ok(self
-            .run_grid(&self.fabric.bandwidths, self.capture.ops_out.is_some())
+            .run_grid(&self.bandwidths, self.capture.ops_out.is_some())
             .0)
     }
 
@@ -1437,7 +1020,7 @@ impl SimBuilder {
 
     /// Runs the first bandwidth point and also returns the reference
     /// trace captured from its first seed — the programmatic form of
-    /// [`trace_out`](Self::trace_out). Feed the trace back through
+    /// [`CaptureSpec::ops_to`]. Feed the trace back through
     /// [`trace_in`](Self::trace_in) (same plan and config) and the replay
     /// reproduces the returned report byte-for-byte, at any thread count.
     ///
@@ -1453,7 +1036,7 @@ impl SimBuilder {
     /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_run_captured(&self) -> Result<(RunReport, Trace), BuildError> {
         self.validate()?;
-        let (mut reports, trace) = self.run_grid(&self.fabric.bandwidths[..1], true);
+        let (mut reports, trace) = self.run_grid(&self.bandwidths[..1], true);
         Ok((
             reports.pop().expect("one bandwidth point"),
             trace.expect("capture ran (did the first grid point wedge or panic?)"),
@@ -1531,7 +1114,7 @@ impl SimBuilder {
     ///
     /// With `capture`, the first grid point (first bandwidth, seed 0) also
     /// records its op stream; the trace is returned and, when
-    /// [`trace_out`](Self::trace_out) is set, written to disk.
+    /// [`CaptureSpec::ops_to`] is set, written to disk.
     fn run_grid(&self, bandwidths: &[u64], capture: bool) -> (Vec<RunReport>, Option<Trace>) {
         if let (true, Some(path)) = (capture, &self.capture.ops_out) {
             // Probe the output path before burning the whole grid's
@@ -1542,7 +1125,7 @@ impl SimBuilder {
                 .create(true)
                 .append(true)
                 .open(path)
-                .unwrap_or_else(|e| panic!("trace_out path {} unwritable: {e}", path.display()));
+                .unwrap_or_else(|e| panic!("trace output path {} unwritable: {e}", path.display()));
         }
         let seeds = self.seeds as usize;
         let tasks = bandwidths.len() * seeds;
@@ -1551,14 +1134,12 @@ impl SimBuilder {
             .unwrap_or_else(pool::available_threads)
             .min(tasks.max(1));
         let capture_all = capture && self.capture.all_points && self.capture.ops_out.is_some();
-        // Panic isolation: a grid point that panics (after the configured
-        // retry budget, for environmental flakes) becomes an error row of
-        // its report instead of unwinding through the whole sweep. Wedges
-        // come back as `Err(PointError)` from `run_point` itself and are
-        // never retried.
-        let retries = self.robustness.panic_retries;
+        // Panic isolation: a grid point that panics (after one retry, for
+        // environmental flakes) becomes an error row of its report instead
+        // of unwinding through the whole sweep. Wedges come back as
+        // `Err(PointError)` from `run_point` itself and are never retried.
         let mut results: Vec<Result<PointResult, PointError>> =
-            pool::run_indexed_isolated(tasks, threads, retries, |i| {
+            pool::run_indexed_isolated(tasks, threads, PANIC_RETRIES, |i| {
                 self.run_point(
                     bandwidths[i / seeds],
                     (i % seeds) as u32,
@@ -1628,8 +1209,8 @@ impl SimBuilder {
         (reports, captured)
     }
 
-    /// Writes one grid point's captured trace next to the `trace_out`
-    /// base path, tagged with its bandwidth and seed index:
+    /// Writes one grid point's captured trace next to the
+    /// [`CaptureSpec::ops_to`] base path, tagged with its bandwidth and seed index:
     /// `run.trace` → `run.b<mbps>.s<seed>.trace`.
     fn write_point_trace(&self, base: &Path, mbps: u64, seed_index: u32, trace: &Trace) {
         let stem = base
@@ -1725,85 +1306,56 @@ mod tests {
         assert_eq!(b.validate(), Err(BuildError::MissingWorkload));
         let b = b.locking_microbench(64, Duration::ZERO);
         assert_eq!(b.validate(), Ok(()));
-        assert_eq!(b.nodes(0).validate(), Err(BuildError::ZeroNodes));
+        assert_eq!(
+            b.nodes(0).validate(),
+            Err(BuildError::Config(ConfigError::NodeCount(0)))
+        );
     }
 
     #[test]
     fn validation_catches_misfit_hierarchies() {
-        let with = |spec| {
+        let with = |cluster_size, banks| {
             SimBuilder::new(ProtocolKind::Bash)
                 .nodes(16)
-                .hierarchy(spec)
+                .hierarchy(HierarchyConfig::new(cluster_size, banks))
                 .check_config()
         };
+        let config = |e| Err(BuildError::Config(e));
+        assert_eq!(with(0, 4), config(ConfigError::ZeroClusterSize));
+        assert_eq!(with(4, 0), config(ConfigError::ZeroHierarchyBanks));
         assert_eq!(
-            with(HierarchySpec::new(0, 4)),
-            Err(BuildError::ZeroClusterSize)
-        );
-        assert_eq!(
-            with(HierarchySpec::new(4, 0)),
-            Err(BuildError::ZeroHierarchyBanks)
-        );
-        assert_eq!(
-            with(HierarchySpec::new(3, 4)),
-            Err(BuildError::ClusterSizeMismatch {
+            with(3, 4),
+            config(ConfigError::ClusterSizeMismatch {
                 cluster_size: 3,
                 nodes: 16,
             })
         );
         assert_eq!(
-            with(HierarchySpec::new(4, 3)),
-            Err(BuildError::BankCountMismatch {
+            with(4, 3),
+            config(ConfigError::BankCountMismatch {
                 banks: 3,
                 nodes: 16
             })
         );
-        assert_eq!(with(HierarchySpec::new(4, 4)), Ok(()));
+        assert_eq!(with(4, 4), Ok(()));
+    }
+
+    #[test]
+    fn every_sweep_point_is_checked() {
+        let b = SimBuilder::new(ProtocolKind::Bash).bandwidths([800, 0, 1600]);
+        assert_eq!(
+            b.check_config(),
+            Err(BuildError::Config(ConfigError::ZeroBandwidth))
+        );
     }
 
     #[test]
     fn hierarchy_reaches_the_system_config() {
-        let b = SimBuilder::new(ProtocolKind::Snooping)
-            .nodes(16)
-            .hierarchy(HierarchySpec::new(4, 2));
+        let b = SimBuilder::new(ProtocolKind::Snooping).nodes(16);
+        assert!(b.config(1600, 0).hierarchy.is_none());
+        let b = b.hierarchy(HierarchyConfig::new(4, 2));
         let cfg = b.config(1600, 0);
         let h = cfg.hierarchy.expect("hierarchy configured");
         assert_eq!((h.cluster_size, h.banks), (4, 2));
-        assert!(b.flat().config(1600, 0).hierarchy.is_none());
-    }
-
-    /// The order-dependence regression: a deprecated per-field shim
-    /// followed by a grouped-spec setter used to lose the shim's value
-    /// (the spec replacement overwrote it), so `.topology(..).fabric(..)`
-    /// and `.fabric(..).topology(..)` built different systems.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_then_spec_equals_spec_then_shim() {
-        let spec = FabricSpec::new(TopologyKind::Mesh2D).bandwidths([400, 800]);
-        let shim_first = SimBuilder::new(ProtocolKind::Bash)
-            .broadcast_cost(4)
-            .fabric(spec.clone());
-        let spec_first = SimBuilder::new(ProtocolKind::Bash)
-            .fabric(spec)
-            .broadcast_cost(4);
-        assert_eq!(shim_first.fabric.broadcast_cost, 4);
-        assert_eq!(shim_first.fabric.topology, TopologyKind::Mesh2D);
-        assert_eq!(
-            shim_first.fabric.broadcast_cost,
-            spec_first.fabric.broadcast_cost
-        );
-        assert_eq!(shim_first.fabric.topology, spec_first.fabric.topology);
-        assert_eq!(shim_first.fabric.bandwidths, spec_first.fabric.bandwidths);
-
-        let budget = WatchdogBudget::events(1_000_000);
-        let shim_first = SimBuilder::new(ProtocolKind::Bash)
-            .watchdog(budget)
-            .robustness(RobustnessSpec::new());
-        assert_eq!(shim_first.robustness.watchdog, Some(budget));
-
-        let shim_first = SimBuilder::new(ProtocolKind::Bash)
-            .trace_policy(true)
-            .capture(CaptureSpec::new());
-        assert!(shim_first.capture.policy);
     }
 }

@@ -64,12 +64,12 @@ pub use bash_coherence::{
 // (`QueueKind` qualifies — it is a `SystemConfig`/builder knob).
 pub use bash_kernel::{Duration, QueueKind, Time};
 pub use bash_net::{
-    FaultPlaneConfig, FaultStats, Jitter, LinkFaultProfile, NodeId, NodeSet, OrderingMode,
-    TopologyKind, TransportConfig,
+    FaultPlaneConfig, FaultPlaneError, FaultStats, Jitter, LinkFaultProfile, NodeId, NodeSet,
+    OrderingMode, TopologyKind, TransportConfig,
 };
 pub use bash_sim::{
-    FaultInjection, HierarchyStats, LinkStat, RunError, RunStats, System, SystemConfig,
-    WatchdogBudget, WedgeCause, WedgeDiagnostic,
+    ConfigError, FaultInjection, HierarchyStats, LinkStat, RunError, RunStats, System,
+    SystemConfig, WatchdogBudget, WedgeCause, WedgeDiagnostic,
 };
 pub use bash_tester::{
     differential_trace, minimize_trace, run_random_test, run_verify, run_verify_trace,
@@ -90,8 +90,8 @@ mod builder;
 mod report_text;
 
 pub use builder::{
-    BoxedWorkload, BuildError, CaptureSpec, FabricSpec, HierarchySpec, Metric, PointError,
-    PointErrorKind, RobustnessSpec, RunReport, SimBuilder,
+    BoxedWorkload, BuildError, CaptureSpec, FabricSpec, Metric, PointError, PointErrorKind,
+    RobustnessSpec, RunReport, SimBuilder,
 };
 pub use report_text::{sweep_canonical_text, REPORT_TEXT_VERSION};
 
@@ -118,10 +118,10 @@ pub use report_text::{sweep_canonical_text, REPORT_TEXT_VERSION};
 /// ```
 pub mod prelude {
     pub use crate::builder::{
-        BuildError, CaptureSpec, FabricSpec, HierarchySpec, Metric, PointError, PointErrorKind,
-        RobustnessSpec, RunReport, SimBuilder,
+        BuildError, CaptureSpec, FabricSpec, Metric, PointError, PointErrorKind, RobustnessSpec,
+        RunReport, SimBuilder,
     };
-    pub use bash_coherence::{CacheGeometry, ProtocolKind};
+    pub use bash_coherence::{CacheGeometry, HierarchyConfig, ProtocolKind};
     pub use bash_kernel::{Duration, Time};
     pub use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
     pub use bash_sim::WatchdogBudget;

@@ -185,9 +185,10 @@ fn a_panicking_grid_point_becomes_an_error_row() {
 
 /// A wedged grid point becomes an error row with `kind=wedged` and is
 /// *not* retried (wedges are deterministic). Unprotected loss kills the
-/// system *quietly* — fewer events, so no event budget can trip — and
-/// the drained-but-not-quiescent check converts the silence into a
-/// structured wedge with no watchdog armed at all.
+/// system *quietly* — fewer events, so the event budget (armed far above
+/// the run's event count, as the builder demands for an unprotected
+/// plane) never trips — and the drained-but-not-quiescent check converts
+/// the silence into a structured wedge.
 #[test]
 fn a_wedged_grid_point_becomes_an_error_row() {
     let report = SimBuilder::new(ProtocolKind::Snooping)
@@ -198,7 +199,7 @@ fn a_wedged_grid_point_becomes_an_error_row() {
         .robustness(
             RobustnessSpec::new()
                 .fault_plane(FaultPlaneConfig::lossy(0xDEAD, 0.3).unprotected())
-                .allow_unprotected_wedges(true),
+                .watchdog(WatchdogBudget::events(1_000_000_000)),
         )
         .warmup_ns(20_000)
         .measure_ns(40_000)
@@ -208,6 +209,10 @@ fn a_wedged_grid_point_becomes_an_error_row() {
     let err = &report.errors[0];
     assert!(matches!(err.kind, PointErrorKind::Wedged));
     assert_eq!(err.attempts, 1, "wedges are deterministic; never retried");
-    assert!(err.message.starts_with("Wedged: "), "got: {}", err.message);
+    assert!(
+        err.message.starts_with("Wedged: stalled"),
+        "the stall check, not the budget, must catch the wedge; got: {}",
+        err.message
+    );
     assert_eq!(report.workload, "<all seeds failed>");
 }

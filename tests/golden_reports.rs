@@ -28,7 +28,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use bash::{
-    sweep_canonical_text, FabricSpec, HierarchySpec, ProtocolKind, QueueKind, SimBuilder,
+    sweep_canonical_text, FabricSpec, HierarchyConfig, ProtocolKind, QueueKind, SimBuilder,
     TopologyKind, Trace,
 };
 
@@ -191,7 +191,8 @@ fn mesh_golden_reports_match_and_are_thread_invariant() {
             sweep_canonical_text(
                 &SimBuilder::new(proto)
                     .trace_in(trace.clone())
-                    .fabric(FabricSpec::new(TopologyKind::Mesh2D).bandwidths(BANDWIDTHS))
+                    .fabric(FabricSpec::new(TopologyKind::Mesh2D))
+                    .bandwidths(BANDWIDTHS)
                     .seed(SEED)
                     .warmup_ns(WARMUP_NS)
                     .measure_ns(MEASURE_NS)
@@ -292,7 +293,7 @@ fn hierarchy_golden_reports_match_and_are_thread_invariant() {
             sweep_canonical_text(
                 &SimBuilder::new(proto)
                     .trace_in(trace.clone())
-                    .hierarchy(HierarchySpec::new(16, 4))
+                    .hierarchy(HierarchyConfig::new(16, 4))
                     .bandwidths(HIER_BANDWIDTHS)
                     .seed(SEED)
                     .warmup_ns(WARMUP_NS)

@@ -11,7 +11,8 @@
 
 use bash::tester::{run_verify_scenario, VerifyConfig};
 use bash::{
-    differential_trace, Duration, HierarchyConfig, HierarchySpec, ProtocolKind, SimBuilder,
+    differential_trace, ConfigError, Duration, HierarchyConfig, ProtocolKind, SimBuilder,
+    SystemConfig,
 };
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -126,7 +127,7 @@ fn hierarchy_personalities_and_stats_behave() {
     let run = |proto: ProtocolKind, cluster_size: u16| {
         SimBuilder::new(proto)
             .nodes(64)
-            .hierarchy(HierarchySpec::new(cluster_size, 4))
+            .hierarchy(HierarchyConfig::new(cluster_size, 4))
             .locking_microbench(256, Duration::ZERO)
             .seed(0xF00D)
             .warmup_ns(10_000)
@@ -197,7 +198,7 @@ fn bash_adapts_per_cluster_under_hierarchy() {
     let run = |mbps: u64, warmup: u64, measure: u64| {
         SimBuilder::new(ProtocolKind::Bash)
             .nodes(64)
-            .hierarchy(HierarchySpec::new(8, 4))
+            .hierarchy(HierarchyConfig::new(8, 4))
             .bandwidth_mbps(mbps)
             .locking_microbench(256, Duration::ZERO)
             .seed(0xF00D)
@@ -226,7 +227,7 @@ fn bash_adapts_per_cluster_under_hierarchy() {
 fn misfit_hierarchies_are_rejected() {
     let err = SimBuilder::new(ProtocolKind::Bash)
         .nodes(64)
-        .hierarchy(HierarchySpec::new(12, 4))
+        .hierarchy(HierarchyConfig::new(12, 4))
         .locking_microbench(64, Duration::ZERO)
         .validate()
         .unwrap_err();
@@ -234,6 +235,17 @@ fn misfit_hierarchies_are_rejected() {
         err.to_string(),
         "hierarchy cluster size 12 does not divide the node count 64"
     );
-    assert!(HierarchyConfig::new(12, 4).check(64).is_err());
-    assert!(HierarchyConfig::new(16, 4).check(64).is_ok());
+    let core = |cluster_size| {
+        SystemConfig::paper_default(ProtocolKind::Bash, 64, 1600)
+            .with_hierarchy(HierarchyConfig::new(cluster_size, 4))
+            .check()
+    };
+    assert_eq!(
+        core(12),
+        Err(ConfigError::ClusterSizeMismatch {
+            cluster_size: 12,
+            nodes: 64
+        })
+    );
+    assert_eq!(core(16), Ok(()));
 }
